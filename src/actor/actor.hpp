@@ -58,7 +58,7 @@ class Actor : public Schedulable {
   /// Despawn-protocol hint (Schedulable::quiescent): IDLE means the
   /// mailbox was seen empty and the actor sits on no run queue. The
   /// window between a worker's pop and the IDLE store is covered by the
-  /// scheduler's in-slice flag.
+  /// scheduler's in-slice count.
   bool idle_hint() const override {
     return state_.load(std::memory_order_seq_cst) == kIdle;
   }

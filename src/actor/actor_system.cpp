@@ -40,7 +40,7 @@ void ActorSystem::despawn_job(std::uint32_t job) {
   // still touches this actor" true. Here the workers keep running other
   // jobs, so we prove the same property per group instead: read the summed
   // slice counter, sweep quiescent(), read the sum again. A slice that
-  // overlaps the sweep either still holds its in-slice flag (sweep fails),
+  // overlaps the sweep either still holds its in-slice count (sweep fails),
   // left the unit SCHEDULED (sweep fails), or completed — which bumped the
   // counter before clearing the flag (sums differ). Stable sums + an
   // all-quiescent sweep therefore prove no worker is inside, about to

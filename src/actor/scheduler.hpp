@@ -63,15 +63,15 @@ class Schedulable {
   /// True when the unit is neither mid-slice nor claimed by / queued on
   /// any run queue. Actor<M> refines idle_hint() with its mailbox state
   /// machine: IDLE there means "not enqueued anywhere and mailbox seen
-  /// empty", and the in-slice flag covers the pop-to-state-reset window.
+  /// empty", and the in-slice count covers the pop-to-state-reset window.
   bool quiescent() const {
-    return !in_slice_.load(std::memory_order_seq_cst) && idle_hint();
+    return in_slice_.load(std::memory_order_seq_cst) == 0 && idle_hint();
   }
 
   /// Slices this unit has fully completed. The despawn protocol
   /// (ActorSystem::despawn_job) reads this before and after a quiescent()
-  /// sweep: slice_end() bumps the counter BEFORE clearing the in-slice
-  /// flag, so an unchanged counter across a window in which every unit
+  /// sweep: slice_end() bumps the counter BEFORE releasing its in-slice
+  /// count, so an unchanged counter across a window in which every unit
   /// read quiescent means no slice ran anywhere in that window.
   std::uint64_t slices_completed() const {
     return slices_completed_.load(std::memory_order_seq_cst);
@@ -84,16 +84,23 @@ class Schedulable {
  private:
   friend class Scheduler;
 
-  void slice_begin() { in_slice_.store(true, std::memory_order_seq_cst); }
+  // A count, not a flag: once execute_batch stores IDLE, a send can
+  // re-enqueue the unit and a second worker can begin its slice before
+  // the first worker reaches slice_end. The actor never runs two slices'
+  // on_message calls at once, but the two slices' bookkeeping overlap,
+  // and a flag cleared by the first slice_end would read quiescent while
+  // the second slice still runs.
+  void slice_begin() { in_slice_.fetch_add(1, std::memory_order_seq_cst); }
   void slice_end() {
-    // Counter first, then the flag: a reader that sees in_slice_ == false
+    // Counter first, then the count: a reader that sees in_slice_ == 0
     // with an unchanged counter knows this slice's writes are visible.
     slices_completed_.fetch_add(1, std::memory_order_seq_cst);
-    in_slice_.store(false, std::memory_order_seq_cst);
+    in_slice_.fetch_sub(1, std::memory_order_seq_cst);
   }
 
   std::uint32_t job_tag_ = 0;
-  std::atomic<bool> in_slice_{false};
+  /// Slices in progress on this unit (0, 1, or briefly 2; see above).
+  std::atomic<std::uint32_t> in_slice_{0};
   std::atomic<std::uint64_t> slices_completed_{0};
 };
 

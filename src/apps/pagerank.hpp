@@ -55,6 +55,10 @@ class PageRankProgram final : public Program {
                             payload_to_float(message));
   }
 
+  /// Ranks and shares are probabilities (total mass <= 1), well inside
+  /// the exact fold's range: the GPSA engine sums them order-free.
+  bool exact_sum() const override { return true; }
+
   bool changed(Payload /*before*/, Payload /*after*/) const override {
     return true;  // any received contribution re-activates the vertex
   }

@@ -121,25 +121,29 @@ void DispatcherActor::on_message(DispatcherMsg msg) {
 }
 
 void DispatcherActor::run_iteration(std::uint64_t superstep) {
-  const ScopedAccumulator busy(busy_seconds_);
-  messages_this_superstep_ = 0;
-  dispatched_this_superstep_ = 0;
-  entries_this_superstep_ = 0;
-  checks_this_superstep_ = 0;
-  const unsigned dispatch_col = ValueFile::dispatch_column(superstep);
+  {
+    // The busy clock stops before DISPATCH_OVER goes out: once the manager
+    // has every ack it may finish the run, and run_job then reads
+    // busy_seconds() from another thread.
+    const ScopedAccumulator busy(busy_seconds_);
+    messages_this_superstep_ = 0;
+    dispatched_this_superstep_ = 0;
+    entries_this_superstep_ = 0;
+    checks_this_superstep_ = 0;
+    const unsigned dispatch_col = ValueFile::dispatch_column(superstep);
 
-  readahead_.begin_superstep();
+    readahead_.begin_superstep();
 
-  if (worklist_ != nullptr) {
-    run_worklist(superstep, dispatch_col);
-  } else {
-    run_sweep(superstep, dispatch_col);
+    if (worklist_ != nullptr) {
+      run_worklist(superstep, dispatch_col);
+    } else {
+      run_sweep(superstep, dispatch_col);
+    }
+    flush_all(superstep);
+    messages_sent_total_ += messages_this_superstep_;
+    vertex_checks_total_ += checks_this_superstep_;
+    entries_read_total_ += entries_this_superstep_;
   }
-  flush_all(superstep);
-  messages_sent_total_ += messages_this_superstep_;
-  vertex_checks_total_ += checks_this_superstep_;
-  entries_read_total_ += entries_this_superstep_;
-
   ManagerMsg done;
   done.kind = ManagerMsg::Kind::kDispatchOver;
   done.superstep = superstep;

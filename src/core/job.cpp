@@ -10,6 +10,7 @@
 #include "actor/actor_system.hpp"
 #include "core/computer.hpp"
 #include "core/dispatcher.hpp"
+#include "core/exact_sum.hpp"
 #include "platform/file_util.hpp"
 #include "storage/active_bitmap.hpp"
 #include "storage/recovery.hpp"
@@ -107,6 +108,14 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   std::optional<std::vector<Payload>> last_sent;
   if (program.delta_messages()) {
     last_sent.emplace(n, Payload{0});
+  }
+  // Exact-sum programs: per-vertex fixed-point sums, live only within a
+  // superstep (every entry is back to 0 at each barrier), so nothing here
+  // is checkpointed. Written only by the computer owning the vertex
+  // (single-writer, like latest_column).
+  std::optional<std::vector<ExactSum>> exact_sums;
+  if (program.exact_sum()) {
+    exact_sums.emplace(n, ExactSum{0});
   }
 
   // --- Value file: create + initialize, or resume after a crash. ---------
@@ -214,12 +223,15 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
   ActiveBitmap* const worklist = bitmap.has_value() ? &*bitmap : nullptr;
   std::vector<Payload>* const last_sent_plane =
       last_sent.has_value() ? &*last_sent : nullptr;
+  ExactSum* const exact_sum_plane =
+      exact_sums.has_value() ? exact_sums->data() : nullptr;
   std::vector<ComputerActor*> computers;
   computers.reserve(owners.parts());
   for (std::uint32_t c = 0; c < owners.parts(); ++c) {
     computers.push_back(system.spawn_in_job<ComputerActor>(
         ctx.job_tag, c, std::ref(values), std::cref(program),
-        std::ref(latest_column), std::ref(pool), worklist, orig));
+        std::ref(latest_column), std::ref(pool), std::cref(owners), worklist,
+        orig, exact_sum_plane));
   }
   const std::uint64_t checkpoint_interval =
       options.checkpoint_each_superstep

@@ -87,6 +87,15 @@ class OwnerMap {
     return v - boundaries_[owner];
   }
 
+  /// Inverse of local_index: the vertex at dense position `local` of
+  /// `owner`.
+  VertexId vertex_at(VertexId local, unsigned owner) const {
+    if (routing_ == MessageRouting::kMod) {
+      return local * parts_ + owner;
+    }
+    return boundaries_[owner] + local;
+  }
+
   /// Size of `owner`'s dense local range (== max local_index + 1).
   VertexId local_size(unsigned owner) const {
     if (routing_ == MessageRouting::kMod) {

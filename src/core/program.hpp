@@ -65,10 +65,26 @@ class Program {
   /// given v's current stored payload.
   virtual Payload first_update(VertexId v, Payload stored) const = 0;
 
-  /// Folds one message into the accumulator. Must be commutative and
-  /// associative up to the app's accepted tolerance (message arrival order
-  /// is nondeterministic).
+  /// Folds one message into the accumulator. A GPSA computing actor folds
+  /// messages as they arrive, and with more than one dispatcher the
+  /// arrival order depends on the schedule. Results are bit-identical
+  /// across worker counts, I/O backends and checkpoint cadences only when
+  /// this fold is exactly commutative and associative (min, max, integer
+  /// sum), or when the program opts into exact_sum(). A float sum that
+  /// does neither is equal only up to rounding from run to run.
   virtual Payload compute(Payload accumulator, Payload message) const = 0;
+
+  /// True when compute(acc, msg) is the float sum payload_to_float(acc) +
+  /// payload_to_float(msg) over non-negative values below 8, and the
+  /// first_update seed is such a value too. The GPSA computing actor then
+  /// folds in exact 64-bit fixed point instead (core/exact_sum.hpp), so
+  /// the stored result no longer depends on message arrival order: the
+  /// seed and every message convert on their own, integer adds are
+  /// associative, and the slot receives the float of the final sum.
+  /// `changed` is then judged once per superstep, on that final sum. A
+  /// value of 8 or more fails the run. The baselines, the reference and
+  /// the cluster engine keep calling compute().
+  virtual bool exact_sum() const { return false; }
 
   /// Whether the post-fold value counts as an update relative to the value
   /// the vertex held before this superstep (drives the stale flag and

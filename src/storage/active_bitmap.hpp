@@ -59,6 +59,14 @@ class ActiveBitmap {
                             BitmapWord{1} << bit_index(v));
   }
 
+  /// Activates every vertex whose bit is set in `bits` of word `w`: one
+  /// atomic OR for up to 64 vertices (a computer's end-of-superstep pass
+  /// over its own vertices).
+  void set_bits(unsigned generation, std::size_t w, BitmapWord bits) {
+    GPSA_DCHECK(w < words_per_generation_ && generation < kGenerations);
+    bitmap_word_set_relaxed(generations_[generation][w], bits);
+  }
+
   bool test(VertexId v, unsigned generation) const {
     GPSA_DCHECK(v < num_vertices_ && generation < kGenerations);
     return (bitmap_word_load_relaxed(generations_[generation][word_index(v)]) >>

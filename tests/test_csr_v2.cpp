@@ -29,7 +29,6 @@ namespace gpsa {
 namespace {
 
 using testing::diamond_graph;
-using testing::expect_float_payloads_near;
 using testing::expect_payloads_equal;
 
 // --- Varint codec ------------------------------------------------------------
@@ -616,14 +615,14 @@ TEST(CsrV2Engine, PageRankBitIdenticalAcrossFormatsAtFixedOrder) {
       expect_payloads_equal(v2.value().values, v1.value().values);
     }
   }
-  // Renumbering changes fold order, so floats are near, not identical —
-  // but still keyed by original ids (a misapplied inverse permutation
-  // would scramble them far past any tolerance).
+  // Renumbering changes the order messages reach each vertex, but the
+  // exact-sum fold (core/exact_sum.hpp) does not depend on it, so results
+  // stay bit-identical and keyed by original ids.
   for (const auto order : {CsrOrder::kDegree, CsrOrder::kBfs}) {
     auto reordered = run_engine(graph, pagerank, CsrFormat::kV2, order,
                                 ExecMode::kWorklist, IoBackendKind::kMmap, 1);
     ASSERT_TRUE(reordered.is_ok()) << reordered.status().to_string();
-    expect_float_payloads_near(reordered.value().values, v1.value().values);
+    expect_payloads_equal(reordered.value().values, v1.value().values);
   }
 }
 

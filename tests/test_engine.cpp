@@ -3,17 +3,25 @@
 // agreement with the sequential reference executor on all apps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "apps/bfs.hpp"
 #include "apps/cc.hpp"
 #include "apps/pagerank.hpp"
 #include "apps/reference.hpp"
 #include "apps/sssp.hpp"
 #include "core/engine.hpp"
+#include "core/exact_sum.hpp"
 #include "graph/csr.hpp"
 #include "graph/csr_file.hpp"
 #include "graph/generators.hpp"
 #include "platform/file_util.hpp"
 #include "test_support.hpp"
+#include "util/rng.hpp"
 
 namespace gpsa {
 namespace {
@@ -305,6 +313,170 @@ TEST(Engine, WorkingSetAndIoPopulated) {
   EXPECT_GT(result.value().working_set_bytes, 0U);
   EXPECT_GT(result.value().io.bytes_read, 0U);
   EXPECT_GT(result.value().preprocess_seconds, 0.0);
+}
+
+// --- Exact, order-free sum fold (core/exact_sum.hpp) ------------------------
+
+/// PageRank-shaped messages: shares 0.85 * rank / out_degree for ranks
+/// spread over five decades and degrees up to 1000.
+std::vector<Payload> pagerank_like_messages(std::size_t count,
+                                            std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Payload> messages;
+  messages.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const float rank = static_cast<float>(
+        std::pow(10.0, -7.0 + 5.0 * rng.next_double()));
+    const auto degree = static_cast<float>(1 + rng.next_below(1000));
+    messages.push_back(float_to_payload(0.85F * rank / degree));
+  }
+  return messages;
+}
+
+Payload exact_fold(Payload seed, const std::vector<Payload>& messages) {
+  ExactSum sum = 0;
+  EXPECT_TRUE(exact_sum_add(sum, seed));
+  for (const Payload m : messages) {
+    EXPECT_TRUE(exact_sum_add(sum, m));
+  }
+  return exact_sum_to_payload(sum);
+}
+
+Payload float_fold(Payload seed, const std::vector<Payload>& messages) {
+  float acc = payload_to_float(seed);
+  for (const Payload m : messages) {
+    acc += payload_to_float(m);
+  }
+  return float_to_payload(acc);
+}
+
+TEST(ExactSum, SameMessagesInAnyOrderGiveIdenticalPayloads) {
+  const Payload seed = float_to_payload(0.15F / 262144.0F);
+  std::vector<Payload> messages = pagerank_like_messages(20000, 7);
+  std::vector<Payload> ascending = messages;
+  std::sort(ascending.begin(), ascending.end());
+  std::vector<Payload> descending(ascending.rbegin(), ascending.rend());
+  std::vector<Payload> shuffled = messages;
+  std::shuffle(shuffled.begin(), shuffled.end(), Rng(11));
+
+  // The data is order-sensitive for a float32 fold ...
+  EXPECT_NE(float_fold(seed, ascending), float_fold(seed, descending));
+  // ... and the exact fold gives one payload for every order.
+  const Payload expected = exact_fold(seed, messages);
+  EXPECT_EQ(exact_fold(seed, ascending), expected);
+  EXPECT_EQ(exact_fold(seed, descending), expected);
+  EXPECT_EQ(exact_fold(seed, shuffled), expected);
+
+  // It is the correctly rounded sum up to the per-message truncation.
+  double exact = payload_to_float(seed);
+  for (const Payload m : messages) {
+    exact += payload_to_float(m);
+  }
+  EXPECT_NEAR(payload_to_float(expected), exact, 1e-6 * exact);
+}
+
+TEST(ExactSum, ConvertsEveryFloatFromTwoToTheMinus37UpToEightExactly) {
+  EXPECT_EQ(kExactSumPayloadLimit, float_to_payload(8.0F));
+  EXPECT_EQ(exact_sum_from_payload(float_to_payload(0x1p-37F)),
+            ExactSum{1} << 23);
+  EXPECT_EQ(exact_sum_from_payload(float_to_payload(1.0F)),
+            ExactSum{1} << kExactSumFracBits);
+  // Round trip of a sweep of floats in [2^-37, 8): each converts exactly,
+  // so converting back returns the same payload.
+  for (float f = 0x1p-37F; f < 8.0F; f *= 1.0009765625F) {
+    const Payload p = float_to_payload(f);
+    ASSERT_EQ(exact_sum_to_payload(exact_sum_from_payload(p)), p) << f;
+  }
+  // Below 2^-37 the conversion truncates toward zero, never up.
+  EXPECT_EQ(exact_sum_from_payload(float_to_payload(0x1p-61F)), 0U);
+  EXPECT_EQ(exact_sum_from_payload(0), 0U);
+}
+
+TEST(ExactSum, RangeCoversPageRankMassBoundAndRefusesOverflow) {
+  // PageRank's whole mass (<= 1) reaching one vertex in 2^20 messages,
+  // plus the teleport seed, sums exactly with room to spare.
+  ExactSum sum = 0;
+  ASSERT_TRUE(exact_sum_add(sum, float_to_payload(0.15F)));
+  const Payload share = float_to_payload(0x1p-20F);
+  for (int i = 0; i < (1 << 20); ++i) {
+    ASSERT_TRUE(exact_sum_add(sum, share));
+  }
+  EXPECT_EQ(payload_to_float(exact_sum_to_payload(sum)), 1.15F);
+  EXPECT_LT(sum & ~kExactSumTouched, ExactSum{1} << 61);  // below 2.0
+
+  // Just below 8 fits; reaching 8, a payload of 8 or more, or a non-finite
+  // payload is refused.
+  ExactSum high = 0;
+  EXPECT_TRUE(exact_sum_add(high, float_to_payload(7.5F)));
+  EXPECT_TRUE(exact_sum_add(high, float_to_payload(0.25F)));
+  EXPECT_FALSE(exact_sum_add(high, float_to_payload(0.25F)));
+  ExactSum big = 0;
+  EXPECT_FALSE(exact_sum_add(big, float_to_payload(8.0F)));
+  ExactSum inf = 0;
+  EXPECT_FALSE(exact_sum_add(
+      inf, float_to_payload(std::numeric_limits<float>::infinity())));
+  ExactSum nan = 0;
+  EXPECT_FALSE(exact_sum_add(
+      nan, float_to_payload(std::numeric_limits<float>::quiet_NaN())));
+
+  // A zero message still marks its vertex as reached this superstep.
+  ExactSum zero = 0;
+  EXPECT_TRUE(exact_sum_add(zero, 0));
+  EXPECT_NE(zero, 0U);
+  EXPECT_EQ(exact_sum_to_payload(zero), float_to_payload(0.0F));
+}
+
+TEST(Engine, PageRankIdenticalAcrossActorCountsAndRouting) {
+  // Without the combiner every message is one source's share, so each
+  // vertex sums the same multiset whatever the partition and schedule.
+  const EdgeList graph = rmat(9, 6000, 17);
+  const PageRankProgram program(6);
+  const auto baseline = Engine::run(graph, program, small_options());
+  ASSERT_TRUE(baseline.is_ok());
+  for (const unsigned actors : {1U, 3U, 5U}) {
+    for (const MessageRouting routing :
+         {MessageRouting::kRange, MessageRouting::kMod}) {
+      EngineOptions eo = small_options();
+      eo.num_dispatchers = actors;
+      eo.num_computers = actors;
+      eo.scheduler_workers = 4;
+      eo.routing = routing;
+      const auto result = Engine::run(graph, program, eo);
+      ASSERT_TRUE(result.is_ok());
+      expect_payloads_equal(result.value().values, baseline.value().values);
+    }
+  }
+}
+
+/// Opts into the exact fold but sends 5.0 along every edge, so any vertex
+/// with two in-edges leaves the fold's range.
+class OutOfRangeSumProgram final : public Program {
+ public:
+  std::string name() const override { return "out_of_range_sum"; }
+  InitialState init(VertexId /*v*/, VertexId /*n*/) const override {
+    return {float_to_payload(5.0F), true};
+  }
+  Payload gen_msg(VertexId /*src*/, VertexId /*dst*/, Payload value,
+                  std::uint32_t /*out_degree*/) const override {
+    return value;
+  }
+  Payload first_update(VertexId /*v*/, Payload /*stored*/) const override {
+    return 0;
+  }
+  Payload compute(Payload accumulator, Payload message) const override {
+    return float_to_payload(payload_to_float(accumulator) +
+                            payload_to_float(message));
+  }
+  bool exact_sum() const override { return true; }
+  std::uint64_t max_supersteps() const override { return 3; }
+};
+
+TEST(Engine, ExactSumOutOfRangeFailsTheRun) {
+  const OutOfRangeSumProgram program;
+  const auto result = Engine::run(diamond_graph(), program, small_options());
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_NE(result.status().to_string().find("exact sum"), std::string::npos)
+      << result.status().to_string();
 }
 
 }  // namespace
