@@ -17,7 +17,7 @@ namespace {
 // One-job hosting mode: a private IoBackend and ActorSystem per run. The
 // orchestration itself lives in run_job (core/job.hpp), shared with the
 // multi-tenant GraphService.
-Result<RunResult> run_with_own_system(CsrFileReader& csr,
+Result<RunResult> run_with_own_system(const CsrFileReader& csr,
                                       const Program& program,
                                       const EngineOptions& options,
                                       const std::string& value_path,
@@ -99,9 +99,9 @@ Result<RunResult> Engine::run_from_csr(const std::string& csr_base_path,
     scratch.emplace(std::move(s));
   }
 
-  GPSA_ASSIGN_OR_RETURN(CsrFileReader csr,
-                        CsrFileReader::open(csr_base_path));
-  return run_with_own_system(csr, program, options,
+  GPSA_ASSIGN_OR_RETURN(const std::shared_ptr<const CsrFileReader> csr,
+                        CsrFileReader::open_shared(csr_base_path));
+  return run_with_own_system(*csr, program, options,
                              dir + "/" + program.name() + ".values", resume);
 }
 

@@ -191,7 +191,13 @@ class Engine {
 
   /// Runs against an existing CSR file pair (skips preprocessing). The
   /// value file is created in (or resumed from, when `resume` is set and
-  /// the file exists) `options.work_dir`.
+  /// the file exists) `options.work_dir`. The file pair is validated once
+  /// per process, not once per call: CsrFileReader::open_shared reuses
+  /// the last validated reader while the files stat unchanged and were
+  /// not rewritten within two seconds of that validation (DESIGN.md §17).
+  /// A rewrite between calls is caught and re-validated; the files must
+  /// not change while a call runs, nor through a shared mapping at all
+  /// (such writes need not move ctime), as for any open reader.
   static Result<RunResult> run_from_csr(const std::string& csr_base_path,
                                         const Program& program,
                                         const EngineOptions& options,

@@ -65,7 +65,7 @@ Result<RunResult> run_job(const JobContext& ctx, const Program& program,
                           const std::string& value_path, bool resume) {
   GPSA_CHECK(ctx.csr != nullptr && ctx.backend != nullptr &&
              ctx.io_config != nullptr && ctx.system != nullptr);
-  CsrFileReader& csr = *ctx.csr;
+  const CsrFileReader& csr = *ctx.csr;
   IoBackend& backend = *ctx.backend;
   const IoConfig& io_config = *ctx.io_config;
   ActorSystem& system = *ctx.system;

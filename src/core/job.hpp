@@ -32,9 +32,10 @@ class ActorSystem;
 /// Everything a single run borrows from its host. All pointers must stay
 /// valid for the duration of the run_job call; `csr`, `backend`, and
 /// `system` may be shared with concurrent run_job calls (distinct
-/// nonzero `job_tag`s required in that case).
+/// nonzero `job_tag`s required in that case). A job never mutates the
+/// reader, so one validated reader can serve every job (DESIGN.md §17).
 struct JobContext {
-  CsrFileReader* csr = nullptr;
+  const CsrFileReader* csr = nullptr;
   IoBackend* backend = nullptr;
   const IoConfig* io_config = nullptr;
   ActorSystem* system = nullptr;

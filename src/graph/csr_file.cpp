@@ -1,14 +1,21 @@
 #include "graph/csr_file.hpp"
 
+#include <sys/stat.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "platform/file_util.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace gpsa {
 
@@ -440,7 +447,129 @@ Result<CsrFileReader> CsrFileReader::open(const std::string& base_path) {
   return reader;
 }
 
-Status CsrFileReader::drop_cache() {
+namespace {
+
+// --- Validated-reader reuse (DESIGN.md §17) --------------------------------
+
+// A file whose ctime is not older than the validation's start by more than
+// this may have been rewritten within one timestamp tick of the stat that
+// keyed the reader, leaving the key unchanged. 2 s covers the coarsest
+// file timestamp granularity (FAT); ext4, xfs and tmpfs keep nanoseconds.
+constexpr std::int64_t kRacySlackNs = std::int64_t{2'000'000'000};
+
+std::int64_t to_ns(const timespec& t) {
+  return std::int64_t{t.tv_sec} * 1'000'000'000 + t.tv_nsec;
+}
+
+// The clock file timestamps are taken from.
+std::int64_t coarse_realtime_ns() {
+  timespec now{};
+  ::clock_gettime(CLOCK_REALTIME_COARSE, &now);
+  return to_ns(now);
+}
+
+// stat() identity of one file of a CSR triple.
+struct FileStamp {
+  bool present = false;
+  dev_t dev = 0;
+  ino_t ino = 0;
+  off_t size = 0;
+  std::int64_t mtime_ns = 0;
+  std::int64_t ctime_ns = 0;
+
+  bool operator==(const FileStamp&) const = default;
+};
+
+// Empty when `path` cannot be stat()ed, except that a missing file is an
+// absent stamp when `may_be_absent`.
+std::optional<FileStamp> stamp_file(const std::string& path,
+                                    bool may_be_absent) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) {
+    if (may_be_absent && errno == ENOENT) {
+      return FileStamp{};
+    }
+    return std::nullopt;
+  }
+  return FileStamp{.present = true,
+                   .dev = st.st_dev,
+                   .ino = st.st_ino,
+                   .size = st.st_size,
+                   .mtime_ns = to_ns(st.st_mtim),
+                   .ctime_ns = to_ns(st.st_ctim)};
+}
+
+struct CsrStamp {
+  std::string base_path;
+  std::array<FileStamp, 3> files;  // <base>, <base>.idx, <base>.perm
+
+  bool operator==(const CsrStamp&) const = default;
+
+  // Not racy: every present file changed long enough before `start_ns`
+  // that a later rewrite must carry a different ctime.
+  bool settled_before(std::int64_t start_ns) const {
+    return std::all_of(files.begin(), files.end(), [&](const FileStamp& f) {
+      return !f.present || f.ctime_ns < start_ns - kRacySlackNs;
+    });
+  }
+};
+
+std::optional<CsrStamp> stamp_csr(const std::string& base_path) {
+  const std::optional<FileStamp> entry = stamp_file(base_path, false);
+  const std::optional<FileStamp> index = stamp_file(base_path + ".idx", false);
+  const std::optional<FileStamp> perm = stamp_file(base_path + ".perm", true);
+  if (!entry || !index || !perm) {
+    return std::nullopt;
+  }
+  return CsrStamp{base_path, {*entry, *index, *perm}};
+}
+
+// The single process-wide slot: at most one graph's mappings stay pinned
+// between calls. A function-local static, so the mappings are released at
+// exit.
+struct ReaderSlot {
+  Mutex mutex{"CsrFileReader.shared_slot"};
+  CsrStamp stamp GPSA_GUARDED_BY(mutex);
+  std::shared_ptr<const CsrFileReader> reader GPSA_GUARDED_BY(mutex);
+};
+
+ReaderSlot& reader_slot() {
+  static ReaderSlot slot;
+  return slot;
+}
+
+}  // namespace
+
+Result<std::shared_ptr<const CsrFileReader>> CsrFileReader::open_shared(
+    const std::string& base_path) {
+  ReaderSlot& slot = reader_slot();
+  // Both taken before open() reads a byte: a rewrite after the stat moves
+  // ctime to at least this start (less one timestamp tick), which a
+  // settled key's ctime is older than, so the key cannot match again.
+  const std::int64_t start_ns = coarse_realtime_ns();
+  const std::optional<CsrStamp> stamp = stamp_csr(base_path);
+  std::shared_ptr<const CsrFileReader> evicted;
+  {
+    MutexLock lock(slot.mutex);
+    if (stamp && slot.reader != nullptr && slot.stamp == *stamp) {
+      return slot.reader;
+    }
+    // A miss unpins the previous graph now, not after this validation.
+    evicted = std::move(slot.reader);
+  }
+  evicted.reset();  // unmaps outside the lock when this was the last user
+
+  GPSA_ASSIGN_OR_RETURN(CsrFileReader reader, open(base_path));
+  auto shared = std::make_shared<const CsrFileReader>(std::move(reader));
+  if (stamp && stamp->settled_before(start_ns)) {
+    MutexLock lock(slot.mutex);
+    slot.stamp = *stamp;
+    slot.reader = shared;
+  }
+  return shared;
+}
+
+Status CsrFileReader::drop_cache() const {
   GPSA_RETURN_IF_ERROR(
       entry_map_.advise_range(0, entry_map_.size(), MmapFile::Advice::kDontNeed));
   GPSA_RETURN_IF_ERROR(

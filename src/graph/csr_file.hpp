@@ -142,6 +142,19 @@ class CsrFileReader {
  public:
   static Result<CsrFileReader> open(const std::string& base_path);
 
+  /// open() for "preprocess once, run many jobs" (DESIGN.md §17): hands
+  /// back the reader an earlier call validated when `<base>`, `<base>.idx`
+  /// and `<base>.perm` still stat the same (device, inode, size, mtime,
+  /// ctime; a missing .perm is part of the key) and their ctimes were
+  /// settled — older than the validation's start by more than any file
+  /// timestamp granularity — when it was validated. Anything else, a stat
+  /// failure included, runs the full open() and returns its error as is.
+  /// One process-wide slot holds the last settled reader. The reader is
+  /// const and shared with other callers, so record() (whose v2 scratch
+  /// is not thread-safe) must not be called on it.
+  static Result<std::shared_ptr<const CsrFileReader>> open_shared(
+      const std::string& base_path);
+
   VertexId num_vertices() const { return header_.num_vertices; }
   EdgeCount num_edges() const { return header_.num_edges; }
   bool has_degree() const {
@@ -213,8 +226,9 @@ class CsrFileReader {
   /// Cold-cache protocol (bench_ablation_io): release this reader's pages
   /// from its mappings (madvise DONTNEED) and from the kernel page cache
   /// (fadvise), so the next scan refaults from disk. Open-time validation
-  /// touches every page, which would otherwise leave a warm cache.
-  Status drop_cache();
+  /// touches every page, which would otherwise leave a warm cache. The
+  /// mapped bytes read the same afterwards, so a shared reader may do it.
+  Status drop_cache() const;
 
  private:
   CsrFileHeader header_{};

@@ -129,7 +129,7 @@ Status MmapFile::advise(Advice advice) {
 }
 
 Status MmapFile::advise_range(std::size_t offset, std::size_t length,
-                              Advice advice) {
+                              Advice advice) const {
   if (base_ == nullptr) {
     return failed_precondition("MmapFile::advise_range on unmapped file");
   }

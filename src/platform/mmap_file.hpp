@@ -72,8 +72,10 @@ class MmapFile {
   /// the file and widened to page boundaries (madvise requires a
   /// page-aligned start). Used by the I/O readahead scheduler for
   /// WILLNEED/DONTNEED windows; kDontNeed on a MAP_SHARED file mapping is a
-  /// pure cache hint — dirty pages are written back, never lost.
-  Status advise_range(std::size_t offset, std::size_t length, Advice advice);
+  /// pure cache hint — dirty pages are written back, never lost — so it is
+  /// const: the mapped bytes read the same after it.
+  Status advise_range(std::size_t offset, std::size_t length,
+                      Advice advice) const;
 
   /// Unmaps and closes. Idempotent; also called by the destructor.
   void close();
